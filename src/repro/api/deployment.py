@@ -628,8 +628,8 @@ class Deployment:
         return snap
 
     def close(self) -> None:
-        """Shut down the serving runtime and plane service.  Idempotent; the
-        in-process store and fitted models remain readable."""
+        """Shut down the network plane, serving runtime and compute executor.
+        Idempotent; the in-process store and fitted models remain readable."""
         if self._closed:
             return
         self._closed = True
@@ -637,8 +637,6 @@ class Deployment:
             self._network.close()
         if self._runtime is not None:
             self._runtime.shutdown()
-        if self._service is not None:
-            self._service.shutdown()
         if self.executor is not None:
             self.executor.close()
 

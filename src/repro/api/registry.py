@@ -1,10 +1,9 @@
 """Package-wide component registry: every swappable part, constructible by name.
 
-PR 1 introduced a registry for *storage* and *index* backends so the
-scalability ablations could swap their stack from configuration.  The
-declarative :mod:`repro.api.spec` config plane needs the same discipline for
-every component kind the system is assembled from, so this module generalises
-that registry package-wide:
+The scalability ablations swap *storage* and *index* backends by name from
+configuration, and the declarative :mod:`repro.api.spec` config plane needs
+the same discipline for every component kind the system is assembled from, so
+this one registry covers them all:
 
 ========== ============================================== =======================
 kind       built-in names                                 built on
@@ -26,11 +25,9 @@ executor   ``inline``, ``thread``, ``process``            :mod:`repro.compute`
 
 Built-ins register lazily on first registry access, so importing this module
 stays cheap and free of circular imports (the sub-packages themselves import
-it).  :mod:`repro.storage.registry` remains as a back-compat shim delegating
-to the ``storage`` and ``index`` kinds here, and
-:func:`repro.embedding.base.register_embedder` forwards embedder
-registrations, so components registered through either path are visible to
-both.
+it).  :func:`repro.embedding.base.register_embedder` forwards embedder
+registrations here, so embedders registered through either path are visible
+to both.
 
 User code plugs in its own components with :func:`register_component`
 (usable as a decorator)::

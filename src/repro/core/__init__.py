@@ -22,11 +22,10 @@ from repro.core.fairds import FairDS, LookupResult
 from repro.core.model_zoo import ModelRecord, ModelZoo
 from repro.core.fairms import FairMS, Recommendation
 from repro.core.fairdms import FairDMS, ModelUpdateReport, UpdatePolicy
-from repro.core.planes import FairDMSService, PlaneActivity
+from repro.core.planes import FairDMSService
 
 __all__ = [
     "FairDMSService",
-    "PlaneActivity",
     "DatasetDistribution",
     "FairDS",
     "LookupResult",

@@ -3,30 +3,29 @@
 The paper separates fairDMS operations into a *user plane* (operations an end
 user invokes directly: query data, request a model update) and a *system
 plane* (background maintenance: retrain the embedding model, retrain the
-clustering model, update the data store, update the model index).  Both planes
-are executed as funcX functions coordinated by a Globus Flow in the paper's
-deployment; :class:`FairDMSService` reproduces that wiring on top of the local
-:class:`~repro.workflow.funcx.FuncXExecutor` and
-:class:`~repro.workflow.flows.Flow` substrates.
+clustering model, update the data store, update the model index).  In the
+paper's deployment both planes run as funcX functions coordinated by Globus
+Flows.  :class:`FairDMSService` keeps that split as a facade: every plane
+function is a method that runs in the caller's thread (a serving worker, for
+served micro-batches), so trace context and Ctrl-C reach it directly, and
+each call is counted per ``"plane:function"``.  Concurrent fan-out and
+background training go through the compute plane (:mod:`repro.compute`) and
+the workflow engine (:class:`~repro.workflow.pipeline.Pipeline`).
 """
 
 from __future__ import annotations
 
+import threading
+import time
 import weakref
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.fairdms import FairDMS, ModelUpdateReport
 from repro.monitoring.triggers import ThresholdTrigger
 from repro.serving import BatchingPolicy, ServingRuntime, ServingTelemetry
-from repro.utils.errors import ConfigurationError
-from repro.utils.logging import get_logger
-from repro.workflow.flows import Flow, FlowResult
-from repro.workflow.funcx import FuncXExecutor
-
-logger = get_logger("repro.core.planes")
 
 
 def lookup_payload(result) -> Dict[str, Any]:
@@ -92,149 +91,75 @@ def nearest_hits_payload(
     return out
 
 
-@dataclass
-class PlaneActivity:
-    """A log entry for a plane function invocation."""
-
-    plane: str
-    function: str
-    succeeded: bool
-    seconds: float
-    detail: Dict[str, Any] = field(default_factory=dict)
-
-
 class FairDMSService:
-    """Serves fairDMS through registered user-plane and system-plane functions.
+    """Serves fairDMS through user-plane and system-plane functions.
+
+    Every public plane method runs its fairDS/fairDMS operation directly in
+    the caller's thread and counts the call under ``"plane:function"``; see
+    :meth:`activity_summary`.  The counters are fixed-size (one entry per
+    plane function), so a long-running server does not grow with traffic.
 
     Parameters
     ----------
     dms:
         The :class:`FairDMS` instance to serve.
-    executor:
-        funcX-style executor the plane functions are registered with; a local
-        one is created when omitted.
-    auto_system_plane:
-        When True (default), every user-plane model-update request whose
-        certainty check triggered a refresh also records the system-plane
-        activity, mirroring the paper's automatic background maintenance.
     """
 
     USER_PLANE = "user"
     SYSTEM_PLANE = "system"
 
-    def __init__(
-        self,
-        dms: FairDMS,
-        executor: Optional[FuncXExecutor] = None,
-        auto_system_plane: bool = True,
-    ):
+    def __init__(self, dms: FairDMS):
         self.dms = dms
-        self.executor = executor or FuncXExecutor(max_workers=2)
-        self.auto_system_plane = bool(auto_system_plane)
-        self.activity: List[PlaneActivity] = []
-        self._function_ids: Dict[str, str] = {}
+        self._activity_lock = threading.Lock()
+        #: ``"plane:function"`` -> [calls, cumulative seconds].
+        self._activity: Dict[str, List[float]] = {}
+        self._failures = 0
         # Serving runtimes wired to this service (weakly held, so an
         # abandoned runtime does not pin the service's telemetry forever).
         self._runtimes: "weakref.WeakSet[ServingRuntime]" = weakref.WeakSet()
-        self._register_plane_functions()
 
-    # -- registration --------------------------------------------------------------
-    def _register_plane_functions(self) -> None:
-        functions = {
-            # user plane
-            "query_distribution": self._fn_query_distribution,
-            "query_distribution_batch": self._fn_query_distribution_batch,
-            "lookup_labeled_data": self._fn_lookup,
-            "lookup_labeled_data_batch": self._fn_lookup_batch,
-            "nearest_labeled": self._fn_nearest_labeled,
-            "update_model": self._fn_update_model,
-            # system plane
-            "refresh_representations": self._fn_refresh,
-            "ingest_labeled_data": self._fn_ingest,
-            "certainty_batch": self._fn_certainty_batch,
-        }
-        for name, fn in functions.items():
-            self._function_ids[name] = self.executor.register_function(fn, function_id=name)
-
-    def registered_functions(self) -> List[str]:
-        return sorted(self._function_ids)
-
-    # -- plane function bodies ---------------------------------------------------------
-    def _fn_query_distribution(self, images: np.ndarray, label: str = "") -> Dict[str, Any]:
-        dist = self.dms.fairds.dataset_distribution(images, label=label)
-        return dist.as_dict()
-
-    def _fn_query_distribution_batch(self, batches: List[np.ndarray], label: str = "") -> List[Dict[str, Any]]:
-        dists = self.dms.fairds.dataset_distribution_batch(batches, labels=[label] * len(batches))
-        return [d.as_dict() for d in dists]
-
-    #: Kept as an attribute for back-compat; the canonical definition is the
-    #: module-level :func:`lookup_payload`.
-    _lookup_payload = staticmethod(lookup_payload)
-
-    def _fn_lookup(self, images: np.ndarray, n_samples: Optional[int] = None) -> Dict[str, Any]:
-        return self._lookup_payload(self.dms.fairds.lookup(images, n_samples=n_samples))
-
-    def _fn_lookup_batch(
-        self,
-        batches: List[np.ndarray],
-        n_samples: Optional[Union[int, Sequence[Optional[int]]]] = None,
-    ) -> List[Dict[str, Any]]:
-        results = self.dms.fairds.lookup_batch(batches, n_samples=n_samples)
-        return [self._lookup_payload(r) for r in results]
-
-    def _fn_nearest_labeled(
-        self,
-        images: np.ndarray,
-        thresholds: Optional[Sequence[Optional[float]]] = None,
-    ) -> List[Dict[str, Any]]:
-        hits = self.dms.fairds.nearest_labeled(images, threshold=None)
-        return nearest_hits_payload(hits, thresholds)
-
-    def _fn_certainty_batch(self, batches: List[np.ndarray]) -> List[float]:
-        return self.dms.fairds.certainty_batch(batches)
-
-    def _fn_update_model(self, images: np.ndarray, label: str) -> ModelUpdateReport:
-        return self.dms.update_model(images, label=label)
-
-    def _fn_refresh(self) -> int:
-        self.dms.fairds.refresh()
-        return self.dms.fairds.store_size()
-
-    def _fn_ingest(self, images: np.ndarray, labels: np.ndarray) -> int:
-        ids = self.dms.fairds.ingest(images, labels)
-        return len(ids)
-
-    # -- user-facing API -----------------------------------------------------------------
-    def _invoke(self, plane: str, name: str, *args, **kwargs):
-        import time
-
+    # -- plane functions -------------------------------------------------------------
+    @contextmanager
+    def _counted(self, plane: str, name: str) -> Iterator[None]:
+        """Time the enclosed plane call and count it under
+        ``"plane:function"``, whether it returns or raises."""
         start = time.perf_counter()
+        failed = False
         try:
-            result = self.executor.run(self._function_ids[name], *args, **kwargs)
-            self.activity.append(
-                PlaneActivity(plane=plane, function=name, succeeded=True,
-                              seconds=time.perf_counter() - start)
-            )
-            return result
-        except Exception:
-            self.activity.append(
-                PlaneActivity(plane=plane, function=name, succeeded=False,
-                              seconds=time.perf_counter() - start)
-            )
+            yield
+        except BaseException:
+            failed = True
             raise
+        finally:
+            self._record(f"{plane}:{name}", time.perf_counter() - start, failed)
+
+    def _record(self, key: str, seconds: float, failed: bool = False) -> None:
+        with self._activity_lock:
+            entry = self._activity.get(key)
+            if entry is None:
+                entry = self._activity[key] = [0, 0.0]
+            entry[0] += 1
+            entry[1] += seconds
+            if failed:
+                self._failures += 1
 
     def query_distribution(self, images: np.ndarray, label: str = "") -> Dict[str, Any]:
         """User plane: the cluster PDF of a dataset."""
-        return self._invoke(self.USER_PLANE, "query_distribution", images, label)
+        with self._counted(self.USER_PLANE, "query_distribution"):
+            return self.dms.fairds.dataset_distribution(images, label=label).as_dict()
 
     def query_distribution_batch(self, batches: List[np.ndarray], label: str = "") -> List[Dict[str, Any]]:
         """User plane: cluster PDFs for a whole batch of datasets at once."""
-        return self._invoke(self.USER_PLANE, "query_distribution_batch", batches, label)
+        with self._counted(self.USER_PLANE, "query_distribution_batch"):
+            dists = self.dms.fairds.dataset_distribution_batch(
+                batches, labels=[label] * len(batches)
+            )
+            return [d.as_dict() for d in dists]
 
     def lookup_labeled_data(self, images: np.ndarray, n_samples: Optional[int] = None) -> Dict[str, Any]:
         """User plane: pseudo-label a dataset from the historical store."""
-        return self._invoke(self.USER_PLANE, "lookup_labeled_data", images, n_samples)
+        with self._counted(self.USER_PLANE, "lookup_labeled_data"):
+            return lookup_payload(self.dms.fairds.lookup(images, n_samples=n_samples))
 
     def lookup_labeled_data_batch(
         self,
@@ -249,7 +174,9 @@ class FairDMSService:
         entries fall back to the dataset size), mirroring
         :meth:`repro.core.fairds.FairDS.lookup_batch`.
         """
-        return self._invoke(self.USER_PLANE, "lookup_labeled_data_batch", batches, n_samples)
+        with self._counted(self.USER_PLANE, "lookup_labeled_data_batch"):
+            results = self.dms.fairds.lookup_batch(batches, n_samples=n_samples)
+            return [lookup_payload(r) for r in results]
 
     def nearest_labeled(
         self,
@@ -263,46 +190,39 @@ class FairDMSService:
         label of an out-of-threshold hit is withheld (``within=False``) so
         the caller falls back to conventional labeling.
         """
-        return self._invoke(self.USER_PLANE, "nearest_labeled", images, thresholds)
+        with self._counted(self.USER_PLANE, "nearest_labeled"):
+            hits = self.dms.fairds.nearest_labeled(images, threshold=None)
+            return nearest_hits_payload(hits, thresholds)
 
     def certainty_batch(self, batches: List[np.ndarray]) -> List[float]:
         """System plane: cluster-assignment certainty of several datasets."""
-        return self._invoke(self.SYSTEM_PLANE, "certainty_batch", batches)
+        with self._counted(self.SYSTEM_PLANE, "certainty_batch"):
+            return self.dms.fairds.certainty_batch(batches)
 
     def request_model_update(self, images: np.ndarray, label: str = "update") -> ModelUpdateReport:
         """User plane: the full fairDMS model-update operation.
 
-        Executed as a small flow (transfer -> update -> publish) so the
-        orchestration structure matches the paper's Globus Flows deployment.
+        When the update's certainty check triggered a representation
+        refresh, that refresh is also counted as system-plane activity —
+        the paper's automatic background maintenance.
         """
-        flow = Flow(f"model-update:{label}")
-        flow.add_step("update_model",
-                      lambda ctx: self._invoke(self.USER_PLANE, "update_model", images, label),
-                      output_key="report")
-        flow.add_step("record_system_activity", self._record_refresh_activity)
-        result: FlowResult = flow.run(raise_on_error=True)
-        return result.context["report"]
-
-    def _record_refresh_activity(self, ctx: Dict[str, Any]) -> None:
-        report: ModelUpdateReport = ctx["report"]
-        if self.auto_system_plane and report.triggered_refresh:
-            self.activity.append(
-                PlaneActivity(
-                    plane=self.SYSTEM_PLANE,
-                    function="refresh_representations",
-                    succeeded=True,
-                    seconds=report.timings.get("system_refresh", 0.0),
-                    detail={"triggered_by": "certainty"},
-                )
-            )
+        with self._counted(self.USER_PLANE, "update_model"):
+            report = self.dms.update_model(images, label=label)
+        if report.triggered_refresh:
+            self._record(f"{self.SYSTEM_PLANE}:refresh_representations",
+                         report.timings.get("system_refresh", 0.0))
+        return report
 
     def ingest_labeled_data(self, images: np.ndarray, labels: np.ndarray) -> int:
         """System plane: add newly labeled data to the historical store."""
-        return self._invoke(self.SYSTEM_PLANE, "ingest_labeled_data", images, labels)
+        with self._counted(self.SYSTEM_PLANE, "ingest_labeled_data"):
+            return len(self.dms.fairds.ingest(images, labels))
 
     def refresh_representations(self) -> int:
         """System plane: retrain embedding + clustering and rebuild the store index."""
-        return self._invoke(self.SYSTEM_PLANE, "refresh_representations")
+        with self._counted(self.SYSTEM_PLANE, "refresh_representations"):
+            self.dms.fairds.refresh()
+            return self.dms.fairds.store_size()
 
     # -- concurrent serving -----------------------------------------------------------------
     def serving_runtime(
@@ -316,8 +236,8 @@ class FairDMSService:
         serving this service's interactive single-request operations.
 
         Concurrent clients submit *single* requests; each flush lands on the
-        corresponding ``*_batch`` plane function (one activity-log entry and
-        one funcX invocation per micro-batch, not per request).  Payloads:
+        corresponding ``*_batch`` plane function (counted once per
+        micro-batch, not per request).  Payloads:
 
         * ``"query_distribution"`` — an images array; resolves to the
           distribution dict of :meth:`query_distribution` (user plane).
@@ -424,10 +344,8 @@ class FairDMSService:
         authoritative source — the index itself — so runtimes sharing one
         index are not double-counted.
         """
-        summary: Dict[str, int] = {}
-        for entry in self.activity:
-            key = f"{entry.plane}:{entry.function}"
-            summary[key] = summary.get(key, 0) + 1
+        with self._activity_lock:
+            summary = {key: int(calls) for key, (calls, _) in self._activity.items()}
         if include_serving:
             for runtime in list(self._runtimes):
                 for op, counts in runtime.telemetry_snapshot()["per_op"].items():
@@ -439,11 +357,15 @@ class FairDMSService:
             summary[f"index:{stat}"] = int(value)
         return summary
 
-    def shutdown(self) -> None:
-        self.executor.shutdown()
+    def activity_seconds(self) -> Dict[str, float]:
+        """Cumulative wall-clock seconds per ``"plane:function"``, over the
+        same calls :meth:`activity_summary` counts."""
+        with self._activity_lock:
+            return {key: seconds for key, (_, seconds) in self._activity.items()}
 
-    def __enter__(self) -> "FairDMSService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
+    @property
+    def failed_calls(self) -> int:
+        """How many plane calls raised (each is also counted in
+        :meth:`activity_summary`)."""
+        with self._activity_lock:
+            return self._failures

@@ -15,9 +15,9 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import least_squares
 
+from repro.compute.executor import ThreadExecutor
 from repro.labeling.pseudo_voigt import PeakParameters, pseudo_voigt_2d
 from repro.utils.errors import ValidationError
-from repro.utils.parallel import thread_map
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compute.executor import Executor
@@ -136,8 +136,9 @@ def label_patches(
     contiguous range.  The pseudo-Voigt inner loop is pure-Python-heavy
     (parameter packing around many small ``least_squares`` solves), so the
     process backend parallelises it where threads mostly serialise on the
-    GIL.  Without an executor, fits run across ``max_workers`` threads as
-    before.
+    GIL.  Without an executor, fits run on a ``max_workers``-thread
+    :class:`~repro.compute.executor.ThreadExecutor` (serially when
+    ``max_workers <= 1``).
     """
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim == 4 and patches.shape[1] == 1:
@@ -155,7 +156,13 @@ def label_patches(
         with executor.open_session(shared={"patches": patches}) as session:
             blocks = session.map(_fit_range_task, ranges)
         return np.vstack(blocks)
-    results = thread_map(
-        lambda p: fit_peak_center(p, max_nfev=max_nfev), list(patches), max_workers=max_workers
-    )
+
+    def fit(patch: np.ndarray) -> FitResult:
+        return fit_peak_center(patch, max_nfev=max_nfev)
+
+    if max_workers <= 1 or n <= 1:
+        results = [fit(p) for p in patches]
+    else:
+        with ThreadExecutor(max_workers=max_workers) as pool:
+            results = pool.map(fit, list(patches))
     return np.array([r.center for r in results], dtype=np.float64)

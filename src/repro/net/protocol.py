@@ -116,7 +116,11 @@ def encode(value: Any) -> Any:
 
 
 def decode(value: Any) -> Any:
-    """Invert :func:`encode`."""
+    """Invert :func:`encode`.
+
+    Corrupt base64 in an ndarray or bytes value raises ``binascii.Error`` (a
+    ``ValueError``) instead of decoding to an empty buffer.
+    """
     if isinstance(value, list):
         return [decode(v) for v in value]
     if isinstance(value, dict):
@@ -124,13 +128,13 @@ def decode(value: Any) -> Any:
         if kind is None:
             return {key: decode(v) for key, v in value.items()}
         if kind == "ndarray":
-            raw = base64.b64decode(value["data"])
+            raw = base64.b64decode(value["data"], validate=True)
             arr = np.frombuffer(raw, dtype=np.dtype(value["dtype"]))
             return arr.reshape(value["shape"]).copy()
         if kind == "tuple":
             return tuple(decode(v) for v in value["items"])
         if kind == "bytes":
-            return base64.b64decode(value["data"])
+            return base64.b64decode(value["data"], validate=True)
         if kind == "versioned":
             return VersionedResult(value["version"], decode(value["value"]))
         raise NetworkError(f"unknown encoded kind {kind!r}")

@@ -120,8 +120,8 @@ class ServingRuntime:
         self._knob_lock = threading.Lock()
         self._knobs: Dict[str, Dict[str, Optional[Callable[..., Any]]]] = {}
         self._stats_providers: Dict[str, Callable[[], Any]] = {}
-        self._flushers = WorkerPool.internal(len(self._ops), self._flush_loop)
-        self._workers = WorkerPool.internal(num_workers, self._work_loop)
+        self._flushers = WorkerPool(len(self._ops), self._flush_loop)
+        self._workers = WorkerPool(num_workers, self._work_loop)
         # Live worker-pool scaling state (see scale_workers): extra threads
         # beyond the construction-time pool, and the count of workers that
         # will consume a close sentinel at shutdown.

@@ -1,44 +1,32 @@
-"""Name-based registry for storage and index backends (back-compat shim).
+"""Storage and index backend protocols, and index capability probing.
 
 The scalability ablations of the paper swap the storage/lookup configuration
 — document DB vs file store, flat vs cluster-partitioned index — between
-otherwise identical runs.  This module makes those backends constructible by
-name from configuration instead of hard-coded imports:
+otherwise identical runs.  Backends are constructed by name through the
+package-wide component registry (:mod:`repro.api.registry`)::
 
-    >>> from repro.storage.registry import create_index_backend
-    >>> index = create_index_backend("flat", dim=16)
-    >>> db = create_storage_backend("documentdb", codec="blosc")
+    >>> from repro.api.registry import create_component
+    >>> index = create_component("index", "flat", dim=16)
+    >>> db = create_component("storage", "documentdb", codec="blosc")
 
-Since the declarative API plane landed, the authoritative store is the
-**package-wide component registry** (:mod:`repro.api.registry`), which also
-covers embedders, clustering algorithms, models, triggers, and policies.
-This module remains as a thin delegating shim over its ``"storage"`` and
-``"index"`` kinds — backends registered through either module are visible to
-both — plus the two backend protocols:
+This module holds what those two kinds promise:
 
 * ``"storage"`` — sample/document persistence (``"file"``, ``"documentdb"``),
   described by the :class:`StorageBackend` protocol.
-* ``"index"`` — nearest-neighbour lookup (``"flat"``, ``"clustered"``),
-  described by the :class:`IndexBackend` protocol.
-
-:func:`create_from_config` is **deprecated** in favour of
-:func:`repro.api.registry.create_from_spec` (identical semantics, all kinds).
+* ``"index"`` — nearest-neighbour lookup (``"flat"``, ``"clustered"``, ...),
+  described by the :class:`IndexBackend` protocol, whose per-instance surface
+  :func:`probe_index_capabilities` inspects once.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Optional, Protocol, runtime_checkable
+from typing import Any, List, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.api import registry as _unified
 from repro.storage.vector_index import QueryResult
-from repro.utils.errors import ConfigurationError
-
-_BACKEND_KINDS = ("storage", "index")
 
 
 @runtime_checkable
@@ -106,75 +94,3 @@ def probe_index_capabilities(index: Any) -> IndexCapabilities:
         supports_n_probe=callable(getattr(index, "set_n_probe", None)),
         supports_scan_stats=callable(getattr(index, "scan_stats", None)),
     )
-
-
-def _check_kind(kind: str) -> str:
-    if kind not in _BACKEND_KINDS:
-        raise ConfigurationError(
-            f"unknown backend kind {kind!r}; expected one of {sorted(_BACKEND_KINDS)}"
-        )
-    return kind
-
-
-def register_backend(
-    kind: str,
-    name: str,
-    factory: Optional[Callable[..., Any]] = None,
-    overwrite: bool = False,
-):
-    """Register ``factory`` (a class or callable) under ``(kind, name)``.
-
-    Usable directly (``register_backend("index", "flat", VectorIndex)``) or as
-    a decorator (``@register_backend("index", "annoy")``).  Duplicate names
-    raise unless ``overwrite=True``.  Registers into the package-wide
-    component registry, so the backend is equally constructible through
-    :func:`repro.api.registry.create_component`.
-    """
-    return _unified.register_component(_check_kind(kind), name, factory, overwrite=overwrite)
-
-
-def unregister_backend(kind: str, name: str) -> bool:
-    """Remove a registered backend; returns True if it existed.
-
-    Mainly for tests and plugins that add temporary backends and must not
-    leak them into the process-wide registry.
-    """
-    return _unified.unregister_component(_check_kind(kind), name)
-
-
-def available_backends(kind: str) -> List[str]:
-    """Names registered for ``kind`` (``"storage"`` or ``"index"``)."""
-    return _unified.available_components(_check_kind(kind))
-
-
-def create_backend(kind: str, name: str, **kwargs: Any) -> Any:
-    """Instantiate the backend registered under ``(kind, name)``."""
-    return _unified.create_component(_check_kind(kind), name, **kwargs)
-
-
-def create_storage_backend(name: str, **kwargs: Any) -> StorageBackend:
-    return create_backend("storage", name, **kwargs)
-
-
-def create_index_backend(name: str, **kwargs: Any) -> IndexBackend:
-    return create_backend("index", name, **kwargs)
-
-
-def create_from_config(config: Mapping[str, Any]) -> Any:
-    """Instantiate a backend from ``{"kind": ..., "name": ..., "params": {...}}``.
-
-    .. deprecated::
-        Use :func:`repro.api.registry.create_from_spec`, which accepts every
-        component kind.  This shim validates the kind against the two storage
-        kinds and delegates; results are identical for storage/index configs.
-    """
-    warnings.warn(
-        "repro.storage.registry.create_from_config is deprecated; use "
-        "repro.api.registry.create_from_spec instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if "kind" not in config or "name" not in config:
-        raise ConfigurationError("backend config requires 'kind' and 'name' entries")
-    _check_kind(config["kind"])
-    return _unified.create_from_spec(config)

@@ -3,8 +3,8 @@
 The :mod:`repro.utils` package collects the small, dependency-free building
 blocks used throughout the library: deterministic random-number handling,
 wall-clock timing, distribution statistics (histograms, Jensen-Shannon
-divergence, percentiles), content-digest LRU caching, light-weight
-thread-pool helpers and the common exception hierarchy.
+divergence, percentiles), content-digest LRU caching, the daemon worker pool
+the serving runtime runs on, and the common exception hierarchy.
 """
 
 from repro.utils.errors import (
@@ -29,7 +29,7 @@ from repro.utils.stats import (
     percentile_summary,
     running_mean,
 )
-from repro.utils.parallel import thread_map, WorkerPool
+from repro.utils.parallel import WorkerPool
 
 __all__ = [
     "ReproError",
@@ -54,7 +54,6 @@ __all__ = [
     "percentile_summary",
     "latency_summary",
     "running_mean",
-    "thread_map",
     "WorkerPool",
     "LRUCache",
     "array_digest",

@@ -1,101 +1,28 @@
-"""Thread-pool helpers, now routed through the compute-plane Executor seam.
+"""Daemon worker threads and the queue protocol the serving runtime runs on.
 
-The storage and labeling substrates need bounded parallelism: concurrent
-readers fetching training mini-batches from the document store, and the
-pseudo-Voigt labeler fanning peak fits across workers.  :func:`thread_map`
-keeps its historical signature and semantics but delegates to a
-:class:`repro.compute.ThreadExecutor` fan-out, so pooled work shows up in
-the ``repro_executor_*`` metrics and ``executor.task`` trace spans like
-every other compute-plane consumer.
-
-:class:`WorkerPool` (continuous queue-consuming daemon threads) remains as
-internal plumbing for the serving runtime — construct it via
-:meth:`WorkerPool.internal`; direct construction is deprecated in favour of
-the Executor seam.
+One-shot fan-out (map a function over items) belongs on the compute plane's
+:class:`repro.compute.Executor` seam.  :class:`WorkerPool` covers the other
+shape: long-lived consumer loops, one per worker thread, pulling from a
+:class:`ClosableQueue` until it is closed.  Its threads are daemons, so a
+runtime left running never blocks interpreter shutdown (a
+``ThreadPoolExecutor``'s non-daemon threads would).
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import warnings
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def thread_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    max_workers: int = 4,
-    chunk: bool = False,
-) -> List[R]:
-    """Apply ``fn`` to every item using a thread pool, preserving order.
-
-    Parameters
-    ----------
-    fn:
-        Callable applied to each item.
-    items:
-        Input sequence.
-    max_workers:
-        Number of worker threads.  ``max_workers <= 1`` runs serially, which
-        keeps small workloads free of pool overhead.
-    chunk:
-        When ``True`` the items are split into at most ``max_workers``
-        contiguous chunks and ``fn`` is applied to each chunk instead of each
-        item (useful when per-item work is tiny).
-
-    An exception (``KeyboardInterrupt`` included) raised by ``fn`` in any
-    worker propagates to the caller; pending items are cancelled.
-
-    Implemented as a one-shot fan-out on a
-    :class:`repro.compute.ThreadExecutor` (same ordering, chunking, and
-    cancel-and-reraise semantics as the historical thread-pool code).
-    """
-    items = list(items)
-    if not items:
-        return []
-    if max_workers <= 1:
-        if chunk:
-            return [fn(items)]  # type: ignore[list-item]
-        return [fn(it) for it in items]
-    from repro.compute.executor import ThreadExecutor  # lazy: avoids an import cycle
-
-    with ThreadExecutor(max_workers=max_workers) as executor:
-        return executor.map(fn, items, chunk=chunk)
+from typing import Callable, List, Optional
 
 
 class WorkerPool:
-    """A long-lived pool of worker threads consuming tasks from a queue.
+    """A long-lived pool of daemon threads, each running ``target(worker_id, ...)``.
 
-    Unlike :func:`thread_map`, which is for one-shot fan-out, ``WorkerPool``
-    is used by the data loader: workers continuously pull index batches from
-    an input queue, fetch the corresponding samples, and push the results onto
-    an output queue so the training loop overlaps I/O with computation
-    (prefetching).
-
-    .. deprecated::
-        Direct construction is deprecated: one-shot fan-out belongs on the
-        :class:`repro.compute.Executor` seam (``thread_map`` already routes
-        there).  The serving runtime's continuous consumer loops still need
-        this daemon-thread pool (a ``ThreadPoolExecutor``'s non-daemon
-        threads would hang interpreter shutdown while a runtime is live) and
-        construct it via :meth:`internal`.
+    The serving runtime's flusher and worker loops run on it: each worker
+    continuously pulls from an input queue until the queue is closed.
     """
 
-    def __init__(
-        self, num_workers: int, target: Callable[..., None], *, _internal: bool = False
-    ) -> None:
-        if not _internal:
-            warnings.warn(
-                "constructing WorkerPool directly is deprecated; use the "
-                "repro.compute Executor seam (e.g. thread_map or "
-                "ThreadExecutor.map) for fan-out work",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self, num_workers: int, target: Callable[..., None]) -> None:
         if num_workers < 0:
             raise ValueError("num_workers must be non-negative")
         self.num_workers = num_workers
@@ -104,13 +31,6 @@ class WorkerPool:
         self._started = False
         self._errors: List[BaseException] = []
         self._errors_lock = threading.Lock()
-
-    @classmethod
-    def internal(cls, num_workers: int, target: Callable[..., None]) -> "WorkerPool":
-        """Construct without the deprecation warning — for the runtime's own
-        continuous consumer loops, which the one-shot Executor seam does not
-        model."""
-        return cls(num_workers, target, _internal=True)
 
     def _run(self, worker_id: int, *args, **kwargs) -> None:
         try:

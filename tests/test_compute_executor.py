@@ -123,6 +123,26 @@ def test_task_errors_propagate_with_original_type(kind):
         assert ex.map(_double, [1, 2]) == [2, 4]
 
 
+def test_thread_executor_map_propagates_keyboard_interrupt_from_worker():
+    def boom(x):
+        if x == 3:
+            raise KeyboardInterrupt
+        return x
+
+    with ThreadExecutor(max_workers=4) as ex:
+        with pytest.raises(KeyboardInterrupt):
+            ex.map(boom, list(range(8)))
+
+
+def test_thread_executor_chunked_map_propagates_keyboard_interrupt():
+    def boom(chunk):
+        raise KeyboardInterrupt
+
+    with ThreadExecutor(max_workers=4) as ex:
+        with pytest.raises(KeyboardInterrupt):
+            ex.map(boom, list(range(8)), chunk=True)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_closed_executor_rejects_work(kind):
     ex = _make(kind)

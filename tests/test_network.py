@@ -128,6 +128,20 @@ def test_codec_rejects_unencodable_values_and_non_string_keys():
         decode({"__repro__": "martian"})
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"__repro__": "ndarray", "dtype": "float64", "shape": [0], "data": "!!"},
+        {"__repro__": "bytes", "data": "!!"},
+        {"__repro__": "bytes", "data": "AAAA#"},
+    ],
+)
+def test_codec_rejects_corrupt_base64(value):
+    # Without validation these decode to an empty / truncated buffer.
+    with pytest.raises(ValueError):
+        decode(value)
+
+
 def test_error_body_validates_the_error_type():
     body = error_body("overloaded", "busy", request_id=7)
     assert body == {"id": 7, "ok": False,
@@ -222,6 +236,24 @@ def test_malformed_frame_draws_bad_request_and_connection_survives():
             assert response["error"]["type"] == "bad_request"
             assert response["id"] == 9
             write_frame(sock, {"id": 10, "op": "double", "payload": 3})
+            assert decode(read_frame(sock)["result"]) == 6
+        finally:
+            sock.close()
+    rs.close()
+
+
+def test_corrupt_base64_payload_draws_bad_request():
+    rs = _replica_set()
+    with NetworkServer(rs) as server:
+        sock = socket.create_connection(server.address, timeout=10.0)
+        try:
+            sock.settimeout(10.0)
+            corrupt = {"__repro__": "ndarray", "dtype": "float64", "shape": [0], "data": "!!"}
+            write_frame(sock, {"id": 4, "op": "double", "payload": corrupt})
+            response = read_frame(sock)
+            assert response["ok"] is False and response["id"] == 4
+            assert response["error"]["type"] == "bad_request"
+            write_frame(sock, {"id": 5, "op": "double", "payload": 3})
             assert decode(read_frame(sock)["result"]) == 6
         finally:
             sock.close()

@@ -459,6 +459,33 @@ def test_served_nearest_labeled_request_produces_a_complete_trace(experiment, re
     assert any(name == "repro_batch_size_count" for name, _ in samples)
 
 
+def test_model_bearing_served_nearest_labeled_trace_keeps_the_index_scan(experiment, registry):
+    """Regression: with a model in the spec, served batches run through the
+    plane service.  Its handlers must run in the serving worker's thread —
+    a hop onto another thread drops the trace context, and the index scan
+    vanishes from the request's trace."""
+    spec = dataclasses.replace(
+        preset("serving"),
+        observability=ObservabilitySpec(enabled=True, sample_rate=1.0),
+    )
+    assert spec.model is not None
+    hist_x, hist_y = experiment.stacked(range(2))
+    with Deployment.from_spec(spec) as dep:
+        dep.fit(hist_x, hist_y)
+        with dep.serve() as runtime:
+            assert runtime.call("nearest_labeled", hist_x[0], timeout=30.0)["within"]
+            runtime.drain(timeout=10.0)
+        traces = _traces_of(dep.trace_spans())
+
+    nearest = [spans for spans in traces.values()
+               if any(s.name == "serving.request" and s.attributes.get("op") == "nearest_labeled"
+                      for s in spans)]
+    assert nearest, "the sampled request produced no trace"
+    by_name = {s.name: s for s in nearest[0]}
+    assert "index.scan" in by_name, f"no index.scan span in {sorted(by_name)}"
+    assert by_name["index.scan"].parent_id == by_name["serving.batch"].span_id
+
+
 # ---------------------------------------------------------------------------------
 # Concurrency: sampled traces from N client threads never cross-wire
 # ---------------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the user/system plane service and embedder hyper-parameter tuning."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -37,66 +40,115 @@ def _service(seed=0):
 
 # -- FairDMSService ----------------------------------------------------------------
 def test_service_registers_both_planes():
-    with _service() as service:
-        names = service.registered_functions()
-        assert "update_model" in names and "lookup_labeled_data" in names
-        assert "refresh_representations" in names and "ingest_labeled_data" in names
+    service = _service()
+    new = _scan(0, n=20, seed=4)
+    service.lookup_labeled_data(new.images, n_samples=5)
+    service.certainty_batch([new.images])
+    summary = service.activity_summary(include_serving=False)
+    assert summary["user:lookup_labeled_data"] == 1
+    assert summary["system:certainty_batch"] == 1
+    assert set(service.activity_seconds()) == {
+        "user:lookup_labeled_data", "system:certainty_batch"
+    }
+    assert all(seconds >= 0.0 for seconds in service.activity_seconds().values())
 
 
 def test_service_query_distribution_and_lookup():
-    with _service() as service:
-        new = _scan(0, n=20, seed=5)
-        dist = service.query_distribution(new.images, label="q")
-        assert pytest.approx(sum(dist["pdf"]), abs=1e-9) == 1.0
-        lookup = service.lookup_labeled_data(new.images, n_samples=10)
-        assert lookup["images"].shape[0] == 10
-        assert lookup["labels"].shape == (10, 2)
-        summary = service.activity_summary()
-        assert summary["user:query_distribution"] == 1
-        assert summary["user:lookup_labeled_data"] == 1
+    service = _service()
+    new = _scan(0, n=20, seed=5)
+    dist = service.query_distribution(new.images, label="q")
+    assert pytest.approx(sum(dist["pdf"]), abs=1e-9) == 1.0
+    lookup = service.lookup_labeled_data(new.images, n_samples=10)
+    assert lookup["images"].shape[0] == 10
+    assert lookup["labels"].shape == (10, 2)
+    summary = service.activity_summary()
+    assert summary["user:query_distribution"] == 1
+    assert summary["user:lookup_labeled_data"] == 1
 
 
 def test_service_request_model_update_runs_flow():
-    with _service() as service:
-        new = _scan(0, n=40, seed=7)
-        report = service.request_model_update(new.images, label="scan-x")
-        assert report.strategy in ("fine-tune", "scratch")
-        assert service.activity_summary()["user:update_model"] == 1
+    service = _service()
+    new = _scan(0, n=40, seed=7)
+    report = service.request_model_update(new.images, label="scan-x")
+    assert report.strategy in ("fine-tune", "scratch")
+    assert service.activity_summary()["user:update_model"] == 1
 
 
 def test_service_system_plane_ingest_and_refresh():
-    with _service() as service:
-        before = service.dms.fairds.store_size()
-        new = _scan(1, n=20, seed=8)
-        added = service.ingest_labeled_data(new.images, new.normalized_centers)
-        assert added == 20
-        assert service.dms.fairds.store_size() == before + 20
-        size = service.refresh_representations()
-        assert size == before + 20
-        summary = service.activity_summary()
-        assert summary["system:ingest_labeled_data"] == 1
-        assert summary["system:refresh_representations"] == 1
+    service = _service()
+    before = service.dms.fairds.store_size()
+    new = _scan(1, n=20, seed=8)
+    added = service.ingest_labeled_data(new.images, new.normalized_centers)
+    assert added == 20
+    assert service.dms.fairds.store_size() == before + 20
+    size = service.refresh_representations()
+    assert size == before + 20
+    summary = service.activity_summary()
+    assert summary["system:ingest_labeled_data"] == 1
+    assert summary["system:refresh_representations"] == 1
 
 
 def test_service_records_failed_invocations():
-    with _service() as service:
-        with pytest.raises(Exception):
-            # Too few samples for an update -> ValidationError inside the plane fn.
-            service.request_model_update(_scan(0, n=2, seed=9).images)
-        assert any(not a.succeeded for a in service.activity)
+    service = _service()
+    assert service.failed_calls == 0
+    with pytest.raises(Exception):
+        # Too few samples for an update -> ValidationError inside the plane fn.
+        service.request_model_update(_scan(0, n=2, seed=9).images)
+    assert service.failed_calls == 1
+    # A failed call is still a call: it is counted like a successful one.
+    assert service.activity_summary()["user:update_model"] == 1
 
 
 def test_service_auto_system_plane_records_triggered_refresh():
     service = _service()
+    # Force the trigger to fire on any certainty value.
+    service.dms.certainty_trigger = type(service.dms.certainty_trigger)(100.0)
+    new = _scan(1, n=40, seed=11)
+    report = service.request_model_update(new.images, label="drifted")
+    assert report.triggered_refresh
+    assert service.activity_summary().get("system:refresh_representations", 0) >= 1
+
+
+def test_service_activity_counters_are_exact_and_bounded_under_concurrency():
+    """Eight threads x 500 plane calls: every call is counted exactly once,
+    and the stored state is one entry per plane function, not one per call."""
+    service = _service()
+    images = _scan(0, n=2, seed=12).images
+    n_threads, n_calls = 8, 500
+
+    def hammer(tid):
+        for i in range(n_calls):
+            if (tid + i) % 2:
+                service.certainty_batch([images])
+            else:
+                service.nearest_labeled(images)
+
+    def stored_state():
+        return (len(service._activity), sys.getsizeof(service._activity))
+
+    hammer(0)  # warm up: every key exists before the state is measured
+    warm = stored_state()
+    threads = [threading.Thread(target=hammer, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so lost updates would show
     try:
-        # Force the trigger to fire on any certainty value.
-        service.dms.certainty_trigger = type(service.dms.certainty_trigger)(100.0)
-        new = _scan(1, n=40, seed=11)
-        report = service.request_model_update(new.images, label="drifted")
-        assert report.triggered_refresh
-        assert service.activity_summary().get("system:refresh_representations", 0) >= 1
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
     finally:
-        service.shutdown()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+    # Every thread (and the warm-up) split its calls evenly over the two.
+    each = (n_threads + 1) * n_calls // 2
+    summary = service.activity_summary(include_serving=False)
+    assert {k: v for k, v in summary.items() if not k.startswith("index:")} == {
+        "system:certainty_batch": each,
+        "user:nearest_labeled": each,
+    }
+    assert service.failed_calls == 0
+    assert stored_state() == warm
 
 
 # -- tuning ------------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Tests for repro.utils.timing and repro.utils.parallel."""
+"""Tests for repro.utils.timing, repro.utils.parallel, and the one-shot thread
+map (:meth:`repro.compute.ThreadExecutor.map`) that fan-out work runs on."""
 
 import threading
 import time
-import warnings
 
 import pytest
 
-from repro.utils.parallel import ClosableQueue, WorkerPool, thread_map
+from repro.compute import ThreadExecutor
+from repro.utils.parallel import ClosableQueue, WorkerPool
 from repro.utils.timing import RateMeter, StopWatch, Timer, timed
 
 
@@ -84,23 +85,34 @@ def test_rate_meter_counts_items():
     assert meter.rate > 0
 
 
-# -- thread_map ------------------------------------------------------------------------
+# -- thread map (ThreadExecutor.map) ---------------------------------------------------
+def _thread_map(fn, items, max_workers, chunk=False):
+    with ThreadExecutor(max_workers=max_workers) as executor:
+        return executor.map(fn, items, chunk=chunk)
+
+
 def test_thread_map_preserves_order():
-    out = thread_map(lambda x: x * x, list(range(20)), max_workers=4)
+    out = _thread_map(lambda x: x * x, list(range(20)), max_workers=4)
     assert out == [x * x for x in range(20)]
 
 
 def test_thread_map_serial_path():
-    out = thread_map(lambda x: x + 1, [1, 2, 3], max_workers=1)
-    assert out == [2, 3, 4]
+    seen = set()
+
+    def record(x):
+        seen.add(threading.get_ident())
+        return x + 1
+
+    assert _thread_map(record, [1, 2, 3], max_workers=1) == [2, 3, 4]
+    assert len(seen) == 1
 
 
 def test_thread_map_empty_input():
-    assert thread_map(lambda x: x, [], max_workers=4) == []
+    assert _thread_map(lambda x: x, [], max_workers=4) == []
 
 
 def test_thread_map_chunked():
-    out = thread_map(lambda chunk: sum(chunk), list(range(10)), max_workers=2, chunk=True)
+    out = _thread_map(lambda chunk: sum(chunk), list(range(10)), max_workers=2, chunk=True)
     assert sum(out) == sum(range(10))
 
 
@@ -108,11 +120,11 @@ def test_thread_map_chunked_produces_at_most_max_workers_chunks():
     """Regression: floor-division chunking could yield up to 2*max_workers - 1
     chunks (9 items / 4 workers -> 5 chunks of [2,2,2,2,1]); ceil division
     caps the chunk count at max_workers while preserving order."""
-    chunks = thread_map(lambda c: list(c), list(range(9)), max_workers=4, chunk=True)
+    chunks = _thread_map(lambda c: list(c), list(range(9)), max_workers=4, chunk=True)
     assert len(chunks) == 3  # ceil(9/4)=3 per chunk -> 3 chunks, not 5
     assert [x for c in chunks for x in c] == list(range(9))
     for n_items, workers in [(1, 4), (4, 4), (5, 4), (8, 4), (17, 4), (100, 7), (3, 8)]:
-        chunks = thread_map(lambda c: list(c), list(range(n_items)), max_workers=workers, chunk=True)
+        chunks = _thread_map(lambda c: list(c), list(range(n_items)), max_workers=workers, chunk=True)
         assert len(chunks) <= workers
         assert all(c for c in chunks)  # no empty chunks
         assert [x for c in chunks for x in c] == list(range(n_items))
@@ -126,7 +138,7 @@ def test_thread_map_actually_uses_threads():
         time.sleep(0.01)
         return x
 
-    thread_map(record, list(range(8)), max_workers=4)
+    _thread_map(record, list(range(8)), max_workers=4)
     assert len(seen) >= 2
 
 
@@ -139,14 +151,14 @@ def test_worker_pool_runs_target_per_worker():
         with lock:
             results.append(worker_id)
 
-    pool = WorkerPool.internal(3, work)
+    pool = WorkerPool(3, work)
     pool.start([1, 2, 3])
     pool.join(timeout=2)
     assert sorted(results) == [0, 1, 2]
 
 
 def test_worker_pool_double_start_raises():
-    pool = WorkerPool.internal(1, lambda worker_id: None)
+    pool = WorkerPool(1, lambda worker_id: None)
     pool.start()
     pool.join(timeout=1)
     with pytest.raises(RuntimeError):
@@ -155,20 +167,7 @@ def test_worker_pool_double_start_raises():
 
 def test_worker_pool_negative_workers():
     with pytest.raises(ValueError):
-        WorkerPool.internal(-1, lambda worker_id: None)
-
-
-def test_worker_pool_direct_construction_is_deprecated():
-    with pytest.warns(DeprecationWarning, match="Executor seam"):
-        WorkerPool(1, lambda worker_id: None)
-
-
-def test_worker_pool_internal_constructor_does_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        pool = WorkerPool.internal(1, lambda worker_id: None)
-    pool.start()
-    pool.join(timeout=1)
+        WorkerPool(-1, lambda worker_id: None)
 
 
 def test_closable_queue_iteration_stops_at_sentinel():
@@ -180,30 +179,12 @@ def test_closable_queue_iteration_stops_at_sentinel():
 
 
 # -- KeyboardInterrupt propagation (regression) --------------------------------------
-def test_thread_map_propagates_keyboard_interrupt_from_worker():
-    def boom(x):
-        if x == 3:
-            raise KeyboardInterrupt
-        return x
-
-    with pytest.raises(KeyboardInterrupt):
-        thread_map(boom, list(range(8)), max_workers=4)
-
-
-def test_thread_map_chunked_propagates_keyboard_interrupt():
-    def boom(chunk):
-        raise KeyboardInterrupt
-
-    with pytest.raises(KeyboardInterrupt):
-        thread_map(boom, list(range(8)), max_workers=4, chunk=True)
-
-
 def test_worker_pool_join_reraises_worker_keyboard_interrupt():
     def interrupted(worker_id):
         if worker_id == 1:
             raise KeyboardInterrupt
 
-    pool = WorkerPool.internal(3, interrupted)
+    pool = WorkerPool(3, interrupted)
     pool.start()
     with pytest.raises(KeyboardInterrupt):
         pool.join(timeout=2)
@@ -217,7 +198,7 @@ def test_worker_pool_records_but_does_not_reraise_ordinary_exceptions():
     def crash(worker_id):
         raise ValueError(f"worker {worker_id}")
 
-    pool = WorkerPool.internal(2, crash)
+    pool = WorkerPool(2, crash)
     pool.start()
     pool.join(timeout=2)  # must not raise
     assert len(pool.errors) == 2
